@@ -118,6 +118,10 @@ void EgressPort::set_up(bool up) {
     }
     counters_.link_down_drops += static_cast<std::int64_t>(control_.size());
     control_.clear();
+    // The flush freed the whole queue: tell the owner, as a dequeue would.
+    // A host NIC parks QPs on a full queue until this callback; without it
+    // they stay parked across the flap and nothing else wakes them.
+    if (on_drain) on_drain();
   } else {
     try_send();
   }
