@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "src/exp/harness.h"
 #include "src/common/rng.h"
@@ -71,6 +72,39 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(events));
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+// The selective-repeat timer pattern of a lossy fabric: N QPs, each with one
+// near-term ACK event and one far-future retransmit timer. Every ACK cancels
+// its QP's timer, re-arms it a full RTO out and schedules the QP's next ACK
+// 0.5-2.5 us later, so the queue carries N live far-future timers, their
+// cancelled predecessors and N near-term events, and pops mostly the latter.
+struct TimerRearmModel {
+  Simulator sim;
+  std::vector<EventId> rto;
+  std::uint64_t lcg = 1;
+
+  explicit TimerRearmModel(int qps) : rto(static_cast<std::size_t>(qps), kInvalidEventId) {
+    for (int qp = 0; qp < qps; ++qp) ack(qp);
+  }
+  void ack(int qp) {
+    sim.cancel(rto[static_cast<std::size_t>(qp)]);
+    rto[static_cast<std::size_t>(qp)] = sim.schedule_in(microseconds(100), [] {});
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    sim.schedule_in(nanoseconds(500 + static_cast<std::int64_t>((lcg >> 33) % 2000)),
+                    [this, qp] { ack(qp); });
+  }
+};
+
+void BM_EventQueueTimerRearm(benchmark::State& state) {
+  TimerRearmModel model(static_cast<int>(state.range(0)));
+  model.sim.run_until(microseconds(200));  // reach the steady state
+  const std::uint64_t before = model.sim.executed_events();
+  for (auto _ : state) model.sim.run_until(model.sim.now() + microseconds(10));
+  state.SetItemsProcessed(static_cast<std::int64_t>(model.sim.executed_events() - before));
+  state.counters["queued_entries"] =
+      benchmark::Counter(static_cast<double>(model.sim.queued_entries()));
+}
+BENCHMARK(BM_EventQueueTimerRearm)->Arg(256)->Arg(2048);
 
 void BM_FiveTupleHash(benchmark::State& state) {
   Packet pkt;

@@ -277,7 +277,6 @@ int main(int argc, char** argv) {
   // knob goes through the same env resolution as every scenario knob.
   exp::Knobs knobs;
   knobs.declare(exp::knob_int("ms", 10, "ROCELAB_PERFGATE_MS", "simulated window"));
-  long ms = knobs.get_int("ms");
   std::string json_path;
   std::string expect_digest;
   bool twice = false;
@@ -293,7 +292,7 @@ int main(int argc, char** argv) {
   long scaling_ms = 0;       // sweep window (0 = same as --ms)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ms") == 0 && i + 1 < argc) {
-      ms = std::atol(argv[++i]);
+      knobs.set_override("ms", argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--expect-digest") == 0 && i + 1 < argc) {
@@ -332,6 +331,13 @@ int main(int argc, char** argv) {
                    "[--scaling 1,2,4] [--scale-min R] [--scaling-podsets N] [--scaling-ms N]\n");
       return 2;
     }
+  }
+  long ms = 0;
+  try {
+    ms = knobs.get_int("ms");
+  } catch (const exp::KnobError& e) {
+    std::fprintf(stderr, "perf_gate: %s\n", e.what());
+    return 2;
   }
 
   std::printf("\n=== perf gate — seeded Clos macro workload ===\n");

@@ -1,5 +1,6 @@
 #include "src/exp/scenario.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -100,12 +101,28 @@ bool Knobs::set_override(const std::string& name, const std::string& value) {
   return true;
 }
 
+namespace {
+
+/// Parse all of `text` as a T, or throw a KnobError naming the knob.
+template <typename T>
+T parse_knob(const std::string& name, const std::string& text, const char* what) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || text.empty()) {
+    throw KnobError("knob '" + name + "': '" + text + "' is not " + what);
+  }
+  return v;
+}
+
+}  // namespace
+
 long Knobs::get_int(const std::string& name) const {
-  return std::atol(values_[index_of(name)].c_str());
+  return parse_knob<long>(name, values_[index_of(name)], "an integer");
 }
 
 double Knobs::get_double(const std::string& name) const {
-  return std::atof(values_[index_of(name)].c_str());
+  return parse_knob<double>(name, values_[index_of(name)], "a number");
 }
 
 const std::string& Knobs::get_string(const std::string& name) const {
@@ -121,7 +138,7 @@ std::vector<double> Knobs::get_list(const std::string& name) const {
   std::stringstream ss(values_[index_of(name)]);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::atof(item.c_str()));
+    if (!item.empty()) out.push_back(parse_knob<double>(name, item, "a number (in a list)"));
   }
   return out;
 }
@@ -310,11 +327,21 @@ int run_scenario(const Scenario& sc, int argc, char** argv) {
     return 2;
   }
 
-  std::printf("\n=== %s ===\n", sc.title.c_str());
-  if (!sc.paper.empty()) std::printf("%s\n", sc.paper.c_str());
-
+  // A malformed value fails before anything runs: every typed knob is
+  // parsed here, and list knobs are parsed where the body reads them.
   Context ctx(knobs);
-  sc.body(ctx);
+  try {
+    for (const KnobSpec& s : knobs.specs()) {
+      if (s.type == KnobSpec::Type::kInt) (void)knobs.get_int(s.name);
+      if (s.type == KnobSpec::Type::kDouble) (void)knobs.get_double(s.name);
+    }
+    std::printf("\n=== %s ===\n", sc.title.c_str());
+    if (!sc.paper.empty()) std::printf("%s\n", sc.paper.c_str());
+    sc.body(ctx);
+  } catch (const KnobError& e) {
+    std::fprintf(stderr, "%s: %s\n", sc.name.c_str(), e.what());
+    return 2;
+  }
 
   if (!ctx.checks().empty()) std::printf("\n");
   for (const Context::Check& c : ctx.checks()) {

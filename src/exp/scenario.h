@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,13 @@ KnobSpec knob_double(std::string name, double def, std::string legacy_env = "",
 KnobSpec knob_string(std::string name, std::string def, std::string legacy_env = "",
                      std::string help = "");
 
+/// A knob value that does not parse as its type. The message names the
+/// knob and the value; run_scenario reports it and exits 2.
+class KnobError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Resolved knob values. Usable standalone (bench/perf_gate keeps its
 /// bespoke main but resolves its window through this) and inside Context.
 class Knobs {
@@ -44,6 +52,8 @@ class Knobs {
   bool set_override(const std::string& name, const std::string& value);  // CLI layer
   [[nodiscard]] bool has(const std::string& name) const;
 
+  /// The typed getters parse the whole value text; anything else (empty,
+  /// trailing garbage, out of range) throws KnobError.
   [[nodiscard]] long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;

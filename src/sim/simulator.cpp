@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "src/monitor/metric_registry.h"
@@ -12,7 +13,7 @@ namespace {
 // The shard whose window is executing on this thread, if any. run_window
 // maintains it; schedule_at consults it to catch cross-shard scheduling
 // during a parallel window — which would be a write into a neighbour's
-// heap from the wrong thread AND a lookahead violation.
+// queue from the wrong thread AND a lookahead violation.
 thread_local Simulator* t_running_shard = nullptr;
 }  // namespace
 
@@ -32,102 +33,80 @@ std::uint32_t Simulator::allocate_node_id() {
   return group_ ? group_->allocate_node_id() : next_node_id_++;
 }
 
-void Simulator::heap_push(HeapKey key, HeapRef ref) {
-  std::size_t i = keys_.size();
-  keys_.push_back(key);  // placeholder; the hole migrates up
-  refs_.push_back(ref);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!earlier(key, keys_[parent])) break;
-    keys_[i] = keys_[parent];
-    refs_[i] = refs_[parent];
-    i = parent;
-  }
-  keys_[i] = key;
-  refs_[i] = ref;
+int Simulator::bucket_of(QueueKey last, QueueKey key) {
+  const QueueKey x = key ^ last;
+  const auto hi = static_cast<std::uint64_t>(x >> 64);
+  return hi != 0 ? 64 + static_cast<int>(std::bit_width(hi))
+                 : static_cast<int>(std::bit_width(static_cast<std::uint64_t>(x)));
 }
 
-void Simulator::heap_pop_front() {
-  const HeapKey last_key = keys_.back();
-  const HeapRef last_ref = refs_.back();
-  keys_.pop_back();
-  refs_.pop_back();
-  const std::size_t n = keys_.size();
-  if (n == 0) return;
-  // Bottom-up variant: walk the min-child path all the way to a leaf
-  // without comparing against `last` (it came from the bottom, so it
-  // almost always belongs near a leaf — comparing at every level buys an
-  // early exit that rarely triggers and costs a hard-to-predict branch),
-  // then bubble `last` up from the leaf hole. The final arrangement can
-  // differ from the top-down variant's, but any valid heap pops the same
-  // sequence: the order is strict and total, so the minimum is unique.
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t min_child = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (earlier(keys_[c], keys_[min_child])) min_child = c;
+void Simulator::queue_push(QueueKey key, QueueRef ref) {
+  if (key < last_) {
+    // Below the settled minimum: a peek settled it, then something was
+    // scheduled ahead of it. Re-anchor at `key`. Every entry in a bucket
+    // below b agrees with `key` above bit b-1, so it joins bucket b, where
+    // it still precedes every entry of the buckets above; those keep their
+    // places. Bucket b may now hold entries that belong lower, which only
+    // means settle_top spreads them once more.
+    const int b = bucket_of(last_, key);
+    for (int i = 0; i < b; ++i) {
+      if (buckets_[i].empty()) continue;
+      buckets_[b].insert(buckets_[b].end(), buckets_[i].begin(), buckets_[i].end());
+      buckets_[i].clear();
+      mark(i, false);
+      mark(b, true);
     }
-    keys_[i] = keys_[min_child];
-    refs_[i] = refs_[min_child];
-    i = min_child;
+    last_ = key;
   }
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!earlier(last_key, keys_[parent])) break;
-    keys_[i] = keys_[parent];
-    refs_[i] = refs_[parent];
-    i = parent;
-  }
-  keys_[i] = last_key;
-  refs_[i] = last_ref;
+  const int b = bucket_of(last_, key);
+  buckets_[b].push_back(ref);
+  mark(b, true);
+  ++queued_;
 }
 
-void Simulator::sift_down(std::size_t i) {
-  const std::size_t n = keys_.size();
-  const HeapKey key = keys_[i];
-  const HeapRef ref = refs_[i];
-  std::size_t hole = i;
-  for (;;) {
-    const std::size_t first_child = 4 * hole + 1;
-    if (first_child >= n) break;
-    std::size_t min_child = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (earlier(keys_[c], keys_[min_child])) min_child = c;
-    }
-    if (!earlier(keys_[min_child], key)) break;
-    keys_[hole] = keys_[min_child];
-    refs_[hole] = refs_[min_child];
-    hole = min_child;
-  }
-  keys_[hole] = key;
-  refs_[hole] = ref;
-}
-
-void Simulator::compact_heap() {
-  // Filter stale entries in place, releasing their slot reservations.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < keys_.size(); ++r) {
-    const HeapRef ref = refs_[r];
-    if (slots_[ref.slot].gen != ref.gen) {
-      free_.push_back(ref.slot);
-      --heap_debt_;
+bool Simulator::settle_top() {
+  if (occupied_[0] & 1) return true;
+  if (occupied_[0] == 0 && occupied_[1] == 0) return false;
+  const int b = occupied_[0] != 0 ? std::countr_zero(occupied_[0])
+                                  : 64 + std::countr_zero(occupied_[1]);
+  // The bucket's minimum is the queue's minimum: it becomes last_ and lands
+  // in bucket 0. The rest share their bits above b-1 with it, so each one
+  // moves to a lower bucket, or stays in b after a re-anchor (queue_push).
+  std::vector<QueueRef>& bucket = buckets_[b];
+  last_ = slots_[bucket.front().slot].key;
+  for (const QueueRef r : bucket) last_ = std::min(last_, slots_[r.slot].key);
+  std::size_t stay = 0;
+  for (const QueueRef r : bucket) {
+    const int to = bucket_of(last_, slots_[r.slot].key);
+    if (to == b) {
+      bucket[stay++] = r;
       continue;
     }
-    keys_[w] = keys_[r];
-    refs_[w] = ref;
-    ++w;
+    buckets_[to].push_back(r);
+    mark(to, true);
   }
-  keys_.resize(w);
-  refs_.resize(w);
-  // Floyd heapify, last internal node first. The resulting arrangement may
-  // differ from incremental pushes, but pop order doesn't: the order is
-  // strict and total, so every valid heap yields the same sequence.
-  if (w > 1) {
-    for (std::size_t i = (w - 2) / 4 + 1; i-- > 0;) sift_down(i);
+  bucket.resize(stay);
+  mark(b, stay != 0);
+  return true;
+}
+
+void Simulator::compact_queue() {
+  // Filter stale entries in place, releasing their slot reservations.
+  // Removal never breaks the bucket invariant, so nothing is re-filed.
+  for (int b = 0; b < kBuckets; ++b) {
+    std::vector<QueueRef>& bucket = buckets_[b];
+    std::size_t w = 0;
+    for (const QueueRef r : bucket) {
+      if (slots_[r.slot].gen != r.gen) {
+        free_.push_back(r.slot);
+        --heap_debt_;
+        --queued_;
+        continue;
+      }
+      bucket[w++] = r;
+    }
+    bucket.resize(w);
+    mark(b, w != 0);
   }
 }
 
@@ -135,19 +114,18 @@ EventId Simulator::schedule_at(Time at, Callback cb) {
   // The foreign-shard guard must run before anything else: it is the one
   // check that may execute on the wrong thread, so it can only consult the
   // group's atomic phase flag and the thread-local mark — reading now_ or
-  // the heap here would itself race with the owning shard's window.
+  // the queue here would itself race with the owning shard's window.
   if (group_ && group_->in_parallel_phase() && t_running_shard != this) {
     // A neighbour shard (or anything off this shard's thread) is writing
-    // into our heap mid-window: lookahead violation. Cross-shard traffic
+    // into our queue mid-window: lookahead violation. Cross-shard traffic
     // must go through the group's channels, which enforce the horizon.
     throw std::logic_error("schedule_at on a foreign shard during a parallel window");
   }
   if (at < now_) throw std::invalid_argument("schedule_at in the past");
   // Amortized O(1): a compaction pass runs at most once per ~live_/2
-  // schedules, and each pass is linear in the heap size.
-  if (keys_.size() >= 128 &&
-      keys_.size() - static_cast<std::size_t>(live_) > static_cast<std::size_t>(live_)) {
-    compact_heap();
+  // schedules, and each pass is linear in the queue size.
+  if (queued_ >= 128 && queued_ - static_cast<std::size_t>(live_) > static_cast<std::size_t>(live_)) {
+    compact_queue();
   }
   std::uint32_t slot;
   if (!free_.empty()) {
@@ -159,7 +137,8 @@ EventId Simulator::schedule_at(Time at, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  heap_push(make_key(at, seq_++), HeapRef{slot, s.gen});
+  s.key = make_key(at, seq_++);
+  queue_push(s.key, QueueRef{slot, s.gen});
   ++live_;
   return encode(slot, s.gen);
 }
@@ -181,18 +160,25 @@ void Simulator::cancel_local(EventId id) {
   if (slot_plus1 == 0 || slot_plus1 > slots_.size()) return;  // invalid/foreign id
   Slot& s = slots_[static_cast<std::size_t>(slot_plus1 - 1)];
   if (s.gen != static_cast<std::uint32_t>(id)) return;  // already fired or cancelled
-  ++s.gen;       // retire the id; the heap entry is now stale
+  ++s.gen;       // retire the id; the queue entry is now stale
   s.cb.reset();  // release captured resources right away
   --live_;
   ++heap_debt_;
 }
 
+Simulator::QueueRef Simulator::pop_top() {
+  const QueueRef top = buckets_[0].back();
+  buckets_[0].pop_back();
+  mark(0, false);  // keys are unique: bucket 0 held one entry
+  --queued_;
+  return top;
+}
+
 bool Simulator::purge_stale_top() {
-  while (!keys_.empty()) {
-    const HeapRef top = refs_.front();
+  while (settle_top()) {
+    const QueueRef top = buckets_[0].back();
     if (slots_[top.slot].gen == top.gen) return true;
-    free_.push_back(top.slot);  // the stale entry owned the slot reservation
-    heap_pop_front();
+    free_.push_back(pop_top().slot);  // the stale entry owned the slot reservation
     --heap_debt_;
   }
   return false;
@@ -200,11 +186,9 @@ bool Simulator::purge_stale_top() {
 
 bool Simulator::step() {
   if (!purge_stale_top()) return false;
-  const HeapKey key = keys_.front();
-  const HeapRef item = refs_.front();
-  heap_pop_front();
+  const QueueRef item = pop_top();
   Slot& s = slots_[item.slot];
-  now_ = key_time(key);
+  now_ = key_time(last_);
   ++s.gen;  // retire the id before invoking: cancel-from-within is a no-op
   free_.push_back(item.slot);
   --live_;
@@ -217,7 +201,7 @@ bool Simulator::step() {
 
 Time Simulator::next_event_time() {
   if (!purge_stale_top()) return kTimeInfinity;
-  return key_time(keys_.front());
+  return key_time(last_);
 }
 
 void Simulator::run() {
@@ -251,7 +235,7 @@ void Simulator::run_until_local(Time deadline) {
   stopped_ = false;
   while (!stopped_) {
     if (!purge_stale_top()) break;
-    if (key_time(keys_.front()) > deadline) break;
+    if (key_time(last_) > deadline) break;
     step();
   }
   if (now_ < deadline) now_ = deadline;
@@ -268,7 +252,7 @@ void Simulator::run_window(Time end) {
   } mark(this);
   while (!stopped_) {
     if (!purge_stale_top()) break;
-    if (key_time(keys_.front()) >= end) break;
+    if (key_time(last_) >= end) break;
     step();
   }
 }

@@ -17,13 +17,18 @@
 // Internals are built for the hot path:
 //  - Callbacks are InlineCallback (small-buffer optimized, move-only): the
 //    common [this, a-few-ints] closures never touch the heap.
-//  - Event storage is a slab of slots recycled through a free list; the heap
-//    itself orders 24-byte PODs, so sift-down moves no closures.
+//  - Event storage is a slab of slots recycled through a free list; the
+//    queue itself holds 8-byte {slot, generation} refs, so no closure moves.
+//  - The queue is a monotone radix queue over a packed (time, seq) key: an
+//    entry is filed by the highest bit in which its key differs from the
+//    last settled minimum, so a pop costs the same at any queue depth and
+//    each entry is re-filed at most a few times on its way to the front.
 //  - Cancellation is a generation tag bump on the slot: O(1), no hashing on
 //    the fire path, and the closure is destroyed at cancel time. The stale
-//    heap entry is skimmed off lazily when it reaches the top.
+//    queue entry is skimmed off lazily when it reaches the front.
 // Tie-breaking by a monotonically increasing sequence number preserves the
-// seed-stable FIFO-within-timestamp order of the original implementation.
+// seed-stable FIFO-within-timestamp order of the original implementation;
+// the order is strict and total, so the pop sequence is fully determined.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +115,9 @@ class Simulator {
   }
   /// Total schedule_at calls so far (fired + cancelled + pending).
   [[nodiscard]] std::uint64_t scheduled_events() const { return seq_ - 1; }
-  /// Heap entries, live and stale-cancelled; minus pending_events() this is
+  /// Queue entries, live and stale-cancelled; minus pending_events() this is
   /// the lazy-cancel debt the queue is currently carrying.
-  [[nodiscard]] std::size_t queued_entries() const { return keys_.size(); }
+  [[nodiscard]] std::size_t queued_entries() const { return queued_; }
 
   /// Hand out device ids. Per-group (not process-global) so that two
   /// fabrics built in the same process — e.g. the perf gate's determinism
@@ -130,56 +135,67 @@ class Simulator {
   /// Group-owned shard: shares the group's registry and node-id counter.
   Simulator(ShardGroup* group, std::uint32_t shard_tag);
 
+  /// The queue key packs (time << 64) | seq into one 128-bit integer: time
+  /// is non-negative (schedule_at rejects the past) and seq is unique, so
+  /// unsigned order on the packed value IS the event order — time first,
+  /// insertion sequence as the tie-break. Bit 127 is always clear.
+  using QueueKey = unsigned __int128;
+  static QueueKey make_key(Time at, std::uint64_t seq) {
+    return (static_cast<QueueKey>(static_cast<std::uint64_t>(at)) << 64) | seq;
+  }
+  static Time key_time(QueueKey k) {
+    return static_cast<Time>(static_cast<std::uint64_t>(k >> 64));
+  }
+
   /// One recyclable unit of event storage. A slot is owned by exactly one
-  /// heap entry from schedule until that entry pops (fired or stale); cancel
+  /// queue entry from schedule until that entry pops (fired or stale); cancel
   /// disarms the slot (gen bump + closure destruction) but leaves the
-  /// reservation to the pending heap entry.
+  /// reservation — and the key — to the pending entry.
   struct Slot {
     Callback cb;
+    QueueKey key = 0;
     std::uint32_t gen = 0;
   };
-  /// The heap is stored structure-of-arrays: the ordering key in one array,
-  /// the slot reference it carries in a parallel one. Sift comparisons only
-  /// ever touch keys_, so a 4-child scan reads one cache line instead of
-  /// two; refs_ is touched once per level to mirror moves.
-  ///
-  /// The key packs (time << 64) | seq into one 128-bit integer: time is
-  /// non-negative (schedule_at rejects the past) and seq is unique, so
-  /// unsigned lexicographic order on the packed value IS the event order —
-  /// time first, insertion sequence as the tie-break — and earlier()
-  /// compiles to a single branchless wide compare.
-  using HeapKey = unsigned __int128;
-  static HeapKey make_key(Time at, std::uint64_t seq) {
-    return (static_cast<HeapKey>(static_cast<std::uint64_t>(at)) << 64) | seq;
-  }
-  static Time key_time(HeapKey k) { return static_cast<Time>(static_cast<std::uint64_t>(k >> 64)); }
-  struct HeapRef {
+  /// A queue entry: the slot and the generation it was armed with. The
+  /// entry is stale once the slot's generation has moved on.
+  struct QueueRef {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// Strict total order on events: the minimum — and therefore the pop
-  /// order — is fully determined regardless of the heap's arrangement.
-  static bool earlier(HeapKey a, HeapKey b) { return a < b; }
 
   [[nodiscard]] EventId encode(std::uint32_t slot, std::uint32_t gen) const {
     return (static_cast<EventId>(shard_tag_) << kEventIdShardShift) |
            (static_cast<EventId>(slot) + 1) << 32 | gen;
   }
 
-  // 4-ary min-heap: half the sift-down depth of a binary heap and the four
-  // children's keys share a cache line, which is where event-queue time goes.
-  void heap_push(HeapKey key, HeapRef ref);
-  void heap_pop_front();
-  void sift_down(std::size_t i);
-  /// Drop stale (cancelled) entries and re-heapify. Far-future timers that
-  /// were cancelled otherwise linger until their time arrives, and the dead
-  /// weight deepens every sift; compaction caps it at ~50% of the heap.
-  void compact_heap();
+  // Monotone radix queue: an entry lives in bucket bit_width(key ^ last_),
+  // i.e. one past the highest bit in which it differs from the last settled
+  // minimum, so bucket 0 holds last_ itself and every entry in a lower
+  // bucket precedes every entry in a higher one. Key bit 127 is always
+  // clear, so bucket_of never exceeds 127.
+  static constexpr int kBuckets = 128;
+  static int bucket_of(QueueKey last, QueueKey key);
+  void mark(int b, bool occupied) {  // keep occupied_ in step with bucket b
+    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+    occupied_[b >> 6] = occupied ? occupied_[b >> 6] | bit : occupied_[b >> 6] & ~bit;
+  }
+  void queue_push(QueueKey key, QueueRef ref);
+  /// Settle the next minimum into bucket 0: take the lowest non-empty
+  /// bucket, make its minimum last_, and spread its entries over the lower
+  /// buckets. False when the queue is empty.
+  bool settle_top();
+  /// Remove and return the settled top (the bucket-0 entry).
+  QueueRef pop_top();
+  /// Drop stale (cancelled) entries. Far-future timers that were cancelled
+  /// otherwise linger until their time arrives; compaction caps the dead
+  /// weight at ~50% of the queue.
+  void compact_queue();
 
   bool step();  // executes one event; false when queue empty
-  /// Skim cancelled entries off the heap top, releasing their slots.
-  /// Returns true if a live event remains at the top. Shared by step() and
-  /// run_until() so the lazy-cancel policy lives in exactly one place.
+  /// Skim cancelled entries off the queue top, releasing their slots.
+  /// Returns true if a live event remains at the top (the bucket-0 entry,
+  /// whose key is last_). Shared by step() and run_until() so the
+  /// lazy-cancel policy lives in exactly one place.
   bool purge_stale_top();
 
   /// Cancel an id this shard owns (no routing). Shared by cancel() and the
@@ -206,7 +222,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t seq_ = 1;  // insertion order; tie-breaks equal timestamps
   // Counters are int64 so the telemetry plane can export them as gauges
-  // through raw-pointer registration (live events, lazy-cancel heap debt,
+  // through raw-pointer registration (live events, lazy-cancel queue debt,
   // per-shard executed events — the shard-imbalance signals).
   std::int64_t executed_ = 0;
   std::int64_t live_ = 0;
@@ -215,8 +231,10 @@ class Simulator {
   ShardGroup* group_ = nullptr;
   std::uint32_t shard_tag_ = 0;
   std::uint32_t next_node_id_ = 1;  // standalone only; group shards defer
-  std::vector<HeapKey> keys_;  // heap order lives here
-  std::vector<HeapRef> refs_;  // parallel array: refs_[i] belongs to keys_[i]
+  QueueKey last_ = 0;          // the last settled minimum
+  std::size_t queued_ = 0;      // entries over all buckets, live and stale
+  std::uint64_t occupied_[2] = {};  // bit b set <=> buckets_[b] is non-empty
+  std::vector<QueueRef> buckets_[kBuckets];
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::unique_ptr<MetricRegistry> metrics_;  // standalone only

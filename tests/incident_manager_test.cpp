@@ -168,7 +168,9 @@ TEST(IncidentManagerLoop, DrainCoversTwoDirectionsInsteadOfTwoCostOuts) {
   // The drain zero-weighted every neighbour port facing leaf-0-0.
   for (Switch* n : {&tor00, &tor01}) {
     for (int p = 0; p < n->port_count(); ++p) {
-      if (n->port(p).peer() == &leaf00) EXPECT_EQ(n->port_weight(p), 0);
+      if (n->port(p).peer() == &leaf00) {
+        EXPECT_EQ(n->port_weight(p), 0);
+      }
     }
   }
   // Both gray incidents are open and covered.
@@ -290,7 +292,9 @@ TEST(IncidentManagerLoop, EscalationAbsorbsPriorCostOutAndUndrainRestoresAll) {
   EXPECT_EQ(leaf00.port_weight(2), 1);
   for (Switch* n : {&tor00, &tor01}) {
     for (int p = 0; p < n->port_count(); ++p) {
-      if (n->port(p).peer() == &leaf00) EXPECT_EQ(n->port_weight(p), 1);
+      if (n->port(p).peer() == &leaf00) {
+        EXPECT_EQ(n->port_weight(p), 1);
+      }
     }
   }
   EXPECT_NE(chaos.journal_text().find("switch_undrain leaf-0-0"), std::string::npos);
@@ -517,7 +521,9 @@ TEST(IncidentManagerLoop, ConfigDriftDetectedAndRolledBack) {
   mgr.scan_now();
   EXPECT_EQ(mgr.stats().rollbacks, 2);
   for (const Incident& inc : mgr.incidents()) {
-    if (inc.kind == IncidentKind::kConfigDrift) EXPECT_GE(inc.resolved_at, 0);
+    if (inc.kind == IncidentKind::kConfigDrift) {
+      EXPECT_GE(inc.resolved_at, 0);
+    }
   }
 }
 

@@ -138,7 +138,9 @@ TEST(PdesDeterminism, DeliveredCorruptionByteIdenticalPerShardCount) {
     EXPECT_EQ(a.events, b.events) << "shards=" << shards;
     EXPECT_EQ(a.corrupt_delivered, b.corrupt_delivered) << "shards=" << shards;
     EXPECT_GT(a.corrupt_delivered, 0) << "shards=" << shards;
-    if (shards > 1) EXPECT_GT(a.cross_msgs, 0) << "shards=" << shards;
+    if (shards > 1) {
+      EXPECT_GT(a.cross_msgs, 0) << "shards=" << shards;
+    }
   }
 }
 
@@ -246,6 +248,49 @@ TEST(PdesGroup, QueueHealthGaugesMatchAggregates) {
   EXPECT_EQ(reg.sum("sim/cross_messages"), group.cross_messages());
   EXPECT_GT(reg.sum("sim/boundary_links"), 0);
   EXPECT_GT(reg.sum("sim/lookahead_ps"), 0);
+}
+
+TEST(PdesGroup, ChannelDeliveriesUnderAPeekedTopKeepOrder) {
+  // Each round of the group loop peeks every shard's earliest event, which
+  // settles it at the front of the shard's queue; the channel drain then
+  // schedules deliveries that can precede it. The one stream runs from
+  // podset 0 to podset 1, so between bursts the receiving shard holds only
+  // a far-future sentinel, and the next burst's deliveries land under it.
+  // The sentinel never fires, and it shifts the shard's later sequence
+  // numbers by one, which keeps their order: the run must match the run
+  // without it.
+  struct Result {
+    std::uint64_t digest = 0;
+    std::uint64_t events = 0;
+    std::int64_t cross_msgs = 0;
+    std::int64_t messages = 0;
+  };
+  auto run = [](bool sentinels) {
+    QosPolicy policy;
+    ClosParams p = make_clos_params(policy, DeploymentStage::kFull, /*podsets=*/2,
+                                    /*leaves=*/1, /*tors=*/1, /*servers=*/2, /*spines=*/1);
+    p.shards = 2;
+    ClosFabric clos(p);
+    ShardGroup& group = clos.fabric().group();
+    if (sentinels) {
+      for (int i = 0; i < group.shard_count(); ++i) {
+        group.shard(i).schedule_at(milliseconds(10), [] {});
+      }
+    }
+    exp::TrafficSet traffic;
+    traffic.add_streams(clos.server(0, 0, 0), clos.server(1, 0, 1), make_qp_config(policy),
+                        RdmaStreamSource::Options{.message_bytes = 8 * kKiB, .max_outstanding = 1});
+    clos.sim().run_until(microseconds(300));
+    return Result{counters_digest(clos.fabric()), group.executed_events(), group.cross_messages(),
+                  traffic.sources().front()->completed_messages()};
+  };
+  const Result plain = run(false);
+  const Result with_sentinels = run(true);
+  EXPECT_GT(plain.messages, 20) << "the stream stalled";
+  EXPECT_EQ(with_sentinels.messages, plain.messages);
+  EXPECT_EQ(with_sentinels.digest, plain.digest);
+  EXPECT_EQ(with_sentinels.events, plain.events);
+  EXPECT_EQ(with_sentinels.cross_msgs, plain.cross_msgs);
 }
 
 TEST(PdesGroup, HeapDebtGaugeTracksLazyCancels) {

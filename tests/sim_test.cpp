@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -254,6 +258,152 @@ TEST(Simulator, SeededRunsProduceIdenticalExecutionOrder) {
   const auto b = trace();
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
+}
+
+// Property test of the event queue against a reference model: a sorted set
+// of (time, schedule order), which is the order the queue promises. Random
+// interleavings of schedule_at (same-time ties, near and far future),
+// cancels (of pending and of already-fired ids), run_until peeks followed
+// by inserts below the peeked top, events scheduling events, and enough
+// far-timer re-arm churn to trigger compaction. Every event that fires must
+// be the model's minimum at that moment.
+class QueueModel {
+ public:
+  explicit QueueModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t r = rng_() % 100;
+      if (r < 35) {
+        schedule(sim_.now() + delta());
+      } else if (r < 50) {
+        cancel_random();
+      } else if (r < 70) {
+        peek_then_insert_below();
+      } else {
+        for (int k = 0; k < 16; ++k) rearm_timer();  // an ACK burst
+      }
+      ASSERT_EQ(sim_.pending_events(), pending_.size());
+      ASSERT_GE(sim_.queued_entries(), sim_.pending_events());
+    }
+    sim_.run();
+    EXPECT_TRUE(pending_.empty());
+    EXPECT_EQ(sim_.pending_events(), 0u);
+  }
+
+  int fired() const { return fired_; }
+  int below_top_inserts() const { return below_top_inserts_; }
+  int compactions() const { return compactions_; }
+
+ private:
+  Time delta() {
+    switch (rng_() % 5) {
+      case 0: return 0;                                             // a same-time tie
+      case 1: return static_cast<Time>(rng_() % 1000);              // sub-ns
+      case 2: return static_cast<Time>(rng_() % microseconds(2));   // near term
+      case 3: return microseconds(50) + static_cast<Time>(rng_() % milliseconds(5));
+      default: return static_cast<Time>(rng_() % (Time{1} << 40));  // very far
+    }
+  }
+
+  void schedule(Time at) {
+    const std::uint64_t order = handles_.size();
+    const std::size_t before = sim_.queued_entries();
+    const EventId id = sim_.schedule_at(at, [this, at, order] { fire(at, order); });
+    // Compaction only ever runs inside schedule_at, and is the one way the
+    // queue can shrink there.
+    if (sim_.queued_entries() < before) ++compactions_;
+    // The trigger keeps the stale share at or below half the queue.
+    ASSERT_LE(sim_.queued_entries(), std::max<std::size_t>(128, 2 * sim_.pending_events()));
+    handles_.push_back({at, id});
+    pending_.emplace(at, order);
+  }
+
+  void fire(Time at, std::uint64_t order) {
+    ++fired_;
+    ASSERT_FALSE(pending_.empty());
+    ASSERT_EQ(*pending_.begin(), std::make_pair(at, order));
+    ASSERT_EQ(sim_.now(), at);
+    pending_.erase(pending_.begin());
+    if (rng_() % 4 == 0) schedule(sim_.now() + delta());  // events scheduling events
+  }
+
+  void cancel_random() {
+    if (handles_.empty()) return;
+    const std::size_t i = rng_() % handles_.size();
+    sim_.cancel(handles_[i].second);  // a no-op when it already fired
+    pending_.erase({handles_[i].first, static_cast<std::uint64_t>(i)});
+  }
+
+  void peek_then_insert_below() {
+    // run_until stops with the first event past the deadline settled at the
+    // front of the queue; the inserts that follow land below it.
+    sim_.run_until(sim_.now() + static_cast<Time>(rng_() % microseconds(3)));
+    if (pending_.empty()) return;
+    const Time top = pending_.begin()->first;
+    const int n = 1 + static_cast<int>(rng_() % 3);
+    for (int k = 0; k < n; ++k) {
+      const Time at = sim_.now() + static_cast<Time>(rng_() % (top - sim_.now() + 1));
+      if (at < top) ++below_top_inserts_;
+      schedule(at);
+    }
+  }
+
+  void rearm_timer() {
+    // The retransmit-timer pattern: cancel a far timer and arm its successor.
+    const std::size_t qp = rng_() % timers_.size();
+    if (timers_[qp] != kInvalidEventId) {
+      const std::size_t i = timer_orders_[qp];
+      sim_.cancel(timers_[qp]);
+      pending_.erase({handles_[i].first, static_cast<std::uint64_t>(i)});
+    }
+    timer_orders_[qp] = handles_.size();
+    schedule(sim_.now() + microseconds(100) + static_cast<Time>(rng_() % microseconds(100)));
+    timers_[qp] = handles_.back().second;
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::set<std::pair<Time, std::uint64_t>> pending_;  // the reference model
+  std::vector<std::pair<Time, EventId>> handles_;     // indexed by schedule order
+  std::array<EventId, 64> timers_{};
+  std::array<std::size_t, 64> timer_orders_{};
+  int fired_ = 0;
+  int below_top_inserts_ = 0;
+  int compactions_ = 0;
+};
+
+TEST(EventQueueModel, RandomInterleavingsMatchSortedSet) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    QueueModel model(seed);
+    model.run(5000);
+    if (::testing::Test::HasFatalFailure()) FAIL() << "seed " << seed;
+    EXPECT_GT(model.fired(), 1000) << "seed " << seed;
+    EXPECT_GT(model.below_top_inserts(), 100) << "seed " << seed;
+    EXPECT_GT(model.compactions(), 0) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueModel, InsertBelowPeekedTopAcrossDistantTimes) {
+  // The settled top sits far ahead; inserts land at times that differ from
+  // it in low, middle and high key bits, interleaved with peeks and pops.
+  Simulator sim;
+  std::vector<Time> fired;
+  auto log = [&] { fired.push_back(sim.now()); };
+  sim.schedule_at(Time{1} << 40, log);
+  sim.schedule_at((Time{1} << 40) + 1, log);
+  sim.run_until(microseconds(1));  // settles the 2^40 event at the front
+  for (const Time at : {Time{1} << 39, microseconds(2), (Time{1} << 40) - 1, microseconds(2) + 1,
+                        microseconds(1), Time{1} << 20}) {
+    sim.schedule_at(at, log);
+  }
+  sim.run_until(microseconds(2));  // pops 1 us, 2^20 ps and 2 us; settles 2 us + 1
+  sim.schedule_at(microseconds(2), log);
+  sim.run();
+  const std::vector<Time> expect = {microseconds(1),     Time{1} << 20,       microseconds(2),
+                                    microseconds(2),     microseconds(2) + 1, Time{1} << 39,
+                                    (Time{1} << 40) - 1, Time{1} << 40,       (Time{1} << 40) + 1};
+  EXPECT_EQ(fired, expect);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // primitives they sample into.
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -237,8 +239,8 @@ TEST(IntervalSeries, SingleBucketAndOutOfOrderQueries) {
 TEST(PercentileSampler, EmptyAndSingleSample) {
   PercentileSampler p;
   EXPECT_TRUE(p.empty());
-  EXPECT_THROW(p.percentile(99), std::logic_error);
-  EXPECT_THROW(p.mean(), std::logic_error);
+  EXPECT_THROW((void)p.percentile(99), std::logic_error);
+  EXPECT_THROW((void)p.mean(), std::logic_error);
   p.add(42.0);
   EXPECT_DOUBLE_EQ(p.percentile(0), 42.0);
   EXPECT_DOUBLE_EQ(p.percentile(50), 42.0);
@@ -279,6 +281,71 @@ TEST(Knobs, TypesAndListParsing) {
   EXPECT_DOUBLE_EQ(list[0], 0.0);
   EXPECT_DOUBLE_EQ(list[1], 1e-4);
   EXPECT_DOUBLE_EQ(list[2], 2.5);
+}
+
+TEST(Knobs, MalformedValuesThrowNamingKnobAndValue) {
+  exp::Knobs k;
+  k.declare(exp::knob_int("run_ms", 40));
+  k.declare(exp::knob_double("rate", 0.01));
+  k.declare(exp::knob_string("sweep", "0,1e-4"));
+  for (const char* bad : {"abc", "", "12abc", "1.5", " 7", "99999999999999999999"}) {
+    ASSERT_TRUE(k.set_override("run_ms", bad));
+    try {
+      (void)k.get_int("run_ms");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const exp::KnobError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("'run_ms'"), what.find("knob ") + 5) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  for (const char* bad : {"0.01x", "", "fast", "1e"}) {
+    ASSERT_TRUE(k.set_override("rate", bad));
+    EXPECT_THROW((void)k.get_double("rate"), exp::KnobError) << bad;
+  }
+  ASSERT_TRUE(k.set_override("sweep", "0,1e-4x,2"));
+  EXPECT_THROW((void)k.get_list("sweep"), exp::KnobError);
+}
+
+TEST(Knobs, WholeValueParses) {
+  exp::Knobs k;
+  k.declare(exp::knob_int("pfc", -1));
+  k.declare(exp::knob_double("rate", 0.01));
+  k.declare(exp::knob_string("sweep", ""));
+  EXPECT_EQ(k.get_int("pfc"), -1);
+  EXPECT_DOUBLE_EQ(k.get_double("pfc"), -1.0);  // an int knob reads as a double too
+  ASSERT_TRUE(k.set_override("rate", "1e-5"));
+  EXPECT_DOUBLE_EQ(k.get_double("rate"), 1e-5);
+  EXPECT_TRUE(k.get_list("sweep").empty());
+  ASSERT_TRUE(k.set_override("sweep", "0.5,,2,"));  // empty items are skipped
+  EXPECT_EQ(k.get_list("sweep"), (std::vector<double>{0.5, 2.0}));
+}
+
+TEST(Knobs, MalformedEnvValueThrows) {
+  ::setenv("ROCELAB_TEST_KNOB", "7ms", 1);
+  exp::Knobs k;
+  k.declare(exp::knob_int("ms", 40, "ROCELAB_TEST_KNOB"));
+  ::unsetenv("ROCELAB_TEST_KNOB");
+  EXPECT_THROW((void)k.get_int("ms"), exp::KnobError);
+}
+
+TEST(Knobs, RunnerExitsTwoOnMalformedValue) {
+  // The runner parses every typed knob before the body runs, and a list
+  // knob that fails inside the body ends the run the same way.
+  int bodies = 0;
+  exp::Scenario sc{"knob_test", "knob test", "", {exp::knob_int("run_ms", 40),
+                                                   exp::knob_string("sweep", "0,1")},
+                   [&bodies](exp::Context& ctx) {
+                     ++bodies;
+                     (void)ctx.knob_list("sweep");
+                   }};
+  std::string arg0 = "knob_test", bad_int = "--run_ms=abc", bad_list = "--sweep=0,x";
+  char* int_argv[] = {arg0.data(), bad_int.data()};
+  EXPECT_EQ(exp::run_scenario(sc, 2, int_argv), 2);
+  EXPECT_EQ(bodies, 0);
+  char* list_argv[] = {arg0.data(), bad_list.data()};
+  EXPECT_EQ(exp::run_scenario(sc, 2, list_argv), 2);
+  EXPECT_EQ(bodies, 1);
 }
 
 }  // namespace

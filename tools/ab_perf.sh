@@ -9,7 +9,8 @@
 # For each workload (default: every workload in BENCHMARK.json) the script
 # runs PAIRS pairs of `perfbench/run.py`, alternating which side goes first
 # (A B, B A, A B, ...), then prints one table per workload: for each metric,
-# each side's median and quartiles, the pairs B won and lost, and a verdict.
+# each side's median and quartiles, the median of the per-pair B/A ratios
+# with a bootstrap 95% interval, the pairs B won and lost, and a verdict.
 #
 # Verdicts follow the paired-run rule of the choosing-metrics method:
 #   gain         B wins >= 90% of pairs and the medians differ by more than
@@ -109,6 +110,7 @@ done
 # --- summary ------------------------------------------------------------------------
 python3 - "$repo/BENCHMARK.json" "$runs" <<'PY'
 import json
+import random
 import statistics
 import sys
 
@@ -124,6 +126,15 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def ratio_interval(ratios, resamples=2000):
+    """Median per-pair ratio and its bootstrap 95% interval (pairs resampled
+    with replacement; a fixed seed keeps the table reproducible)."""
+    rng = random.Random(1)
+    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                  for _ in range(resamples))
+    return statistics.median(ratios), meds[int(0.025 * resamples)], meds[int(0.975 * resamples) - 1]
+
+
 def fmt(x):
     return f"{x:.0f}" if float(x).is_integer() or abs(x) >= 1e5 else f"{x:.4g}"
 
@@ -133,7 +144,7 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
     npairs = len({r["pair"] for r in wr})
     failed = {s: sum(1 for r in wr if r["side"] == s and r["rc"] != 0) for s in "AB"}
     print(f"\n{workload}: {npairs} pairs; failed runs A={failed['A']} B={failed['B']}")
-    print("| metric | A median [q1, q3] | B median [q1, q3] | B/A | B won | B lost | verdict |")
+    print("| metric | A median [q1, q3] | B median [q1, q3] | B/A per pair [95% CI] | B won | B lost | verdict |")
     print("|---|---|---|---|---|---|---|")
     # A failed run (a check or the determinism digest did not hold) gives
     # no usable reading, so its pair is left out; and B gets no "gain" on a
@@ -172,7 +183,11 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
             verdict = "unresolved"
         else:
             verdict = "-"
-        ratio = f"{bm / am:.3f}" if am else "-"
+        if all(x != 0 for x in a):
+            r, lo, hi = ratio_interval([y / x for x, y in both])
+            ratio = f"{r:.3f} [{lo:.3f}, {hi:.3f}]"
+        else:
+            ratio = "-"
         print(f"| {name} | {fmt(am)} [{fmt(a1)}, {fmt(a3)}] | {fmt(bm)} [{fmt(b1)}, {fmt(b3)}] "
               f"| {ratio} | {won} | {lost} | {verdict} |")
 PY
